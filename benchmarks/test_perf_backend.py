@@ -1,12 +1,14 @@
-"""Compute-backend benchmark: the >= 3x JIT-kernel speedup claim.
+"""Cycle-loop benchmark: the >= 3x JIT-kernel speedup claim.
 
-``docs/backends.md`` claims that the numba backend -- the whole
+``docs/backends.md`` claims that the numba kernel -- the whole
 multi-cycle loop compiled into one nopython function over pre-drawn
-arrivals -- beats the per-cycle NumPy reference backend by at least 3x
+arrivals -- beats the per-cycle NumPy loop by at least 3x
 on the paper's small-network scenario (``k = 2``, 6 stages, width 8)
 stacked at ``R = 64``.  The measured baseline is emitted as
 ``BENCH_backend.json`` so CI keeps a comparable artifact trail
-(ingested into the experiment DB under series ``backend``).
+(ingested into the experiment DB under series ``backend``).  The NumPy
+side is forced by patching ``compiled_kernel()`` to return ``None``,
+the same switch the equivalence tests use.
 
 Skips (rather than fails) when numba is not importable, and is
 CPU-gated like the other runner benchmarks: on a starved box the
@@ -23,7 +25,7 @@ import pytest
 
 pytest.importorskip("numba")
 
-from repro.simulation.backends import resolve_backend  # noqa: E402
+from repro.simulation.backends import jit  # noqa: E402
 from repro.simulation.batched import run_batched  # noqa: E402
 from repro.simulation.network import NetworkConfig  # noqa: E402
 
@@ -62,27 +64,33 @@ def bench_config() -> NetworkConfig:
     _usable_cpus() < 4,
     reason=f"speedup benchmark needs >= 4 usable CPUs, have {_usable_cpus()}",
 )
-def test_numba_backend_speedup(benchmark, cycles):
-    """run_batched(backend="numba") at R=64 must beat numpy by >= 3x."""
+def test_numba_backend_speedup(benchmark, cycles, monkeypatch):
+    """run_batched on the numba kernel at R=64 must beat numpy by >= 3x."""
     config = bench_config()
     n_replicas = 64
     n_cycles = max(cycles, 2_000)
     seeds = list(range(1, n_replicas + 1))
 
-    # sanity: an importable numba must also resolve as usable here
-    assert resolve_backend("auto", None).name == "numba"
+    # sanity: an importable numba must also compile the loop here
+    compiled = jit.compiled_kernel()
+    assert compiled is not None
+
+    def run(kernel, run_seeds, run_cycles):
+        monkeypatch.setattr(jit, "compiled_kernel", lambda: kernel)
+        return run_batched(config, run_seeds, run_cycles)
 
     # warm both paths: the numba run pays JIT compilation exactly once
-    run_batched(config, [1, 2], 1_000, backend="numpy")
-    run_batched(config, [1, 2], 1_000, backend="numba")
+    run(None, [1, 2], 1_000)
+    run(compiled, [1, 2], 1_000)
 
     t0 = perf_counter()
-    via_numpy = run_batched(config, seeds, n_cycles, backend="numpy")
+    via_numpy = run(None, seeds, n_cycles)
     t_numpy = perf_counter() - t0
 
     t0 = perf_counter()
-    via_numba = run_batched(config, seeds, n_cycles, backend="numba")
+    via_numba = run(compiled, seeds, n_cycles)
     t_numba = perf_counter() - t0
+    assert via_numpy[0].backend == "numpy" and via_numba[0].backend == "numba"
 
     # the determinism contract holds at benchmark scale too
     assert len(via_numpy) == len(via_numba) == n_replicas
@@ -106,6 +114,6 @@ def test_numba_backend_speedup(benchmark, cycles):
 
     benchmark.pedantic(report, rounds=1, iterations=1)
     assert speedup >= 3.0, (
-        f"expected >= 3x numba-backend speedup at R={n_replicas}: numpy "
+        f"expected >= 3x numba-kernel speedup at R={n_replicas}: numpy "
         f"{t_numpy:.2f}s, numba {t_numba:.2f}s ({speedup:.2f}x)"
     )

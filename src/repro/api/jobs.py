@@ -44,6 +44,7 @@ from repro.errors import ApiError, JobQueueFullError
 from repro.exec.cache import ResultCache
 from repro.exec.runner import TaskOutcome, run_many
 from repro.exec.spec import ExperimentSpec
+from repro.simulation.backends import jit
 from repro.simulation.network import NetworkResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, expdb imports lazily
@@ -154,7 +155,6 @@ class JobManager:
         workers: int = 1,
         retries: int = 1,
         timeout: Optional[float] = None,
-        backend: str = "auto",
         stream: bool = False,
         shard_mem: Optional[int] = None,
         max_queue: int = 64,
@@ -173,11 +173,8 @@ class JobManager:
         self._workers = workers
         self._retries = retries
         self._timeout = timeout
-        #: compute backend forwarded to each job's run_many call (an
-        #: execution detail: digests and cached payloads never see it)
-        self._backend = backend
-        #: streamed sharded execution knobs, forwarded the same way
-        #: (shard_mem is a byte budget; see docs/scaling.md)
+        #: streamed sharded execution knobs, forwarded to each job's
+        #: run_many call (shard_mem is a byte budget; see docs/scaling.md)
         self._stream = stream or shard_mem is not None
         self._shard_mem = shard_mem
         self._max_queue = max_queue
@@ -295,7 +292,8 @@ class JobManager:
                 "max_queue": self._max_queue,
                 "executors": len(self._threads),
                 "workers": self._workers,
-                "backend": self._backend,
+                # the replica engines' cycle loop, chosen automatically
+                "backend": "numpy" if jit.compiled_kernel() is None else "numba",
                 "stream": self._stream,
                 "shard_mem": self._shard_mem,
                 "uptime_seconds": time.time() - self._started_unix,
@@ -388,7 +386,6 @@ class JobManager:
                     timeout=self._timeout,
                     progress=progress,
                     task_fn=self._task_fn,
-                    backend=self._backend,
                     stream=self._stream,
                     shard_mem=self._shard_mem,
                 )

@@ -83,15 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with --workers (metrics are off for stacked runs)",
     )
     common.add_argument(
-        "--backend",
-        choices=["numpy", "numba", "auto"],
-        default="auto",
-        help="compute backend for stacked runs: 'numpy' (reference), "
-        "'numba' (JIT cycle loop; requires numba), or 'auto' (default: "
-        "JIT when usable, reference otherwise) -- results are "
-        "bit-identical either way (see docs/backends.md)",
-    )
-    common.add_argument(
         "--shard-mem",
         type=int,
         default=None,
@@ -339,12 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra attempts per failed job (default 1)",
     )
     serve.add_argument(
-        "--backend",
-        choices=["numpy", "numba", "auto"],
-        default="auto",
-        help="compute backend for vectorized jobs (default auto)",
-    )
-    serve.add_argument(
         "--timeout", type=float, default=None,
         help="per-task seconds before a dispatched job counts as failed",
     )
@@ -545,7 +530,6 @@ def _run_batch(args) -> int:
         timeout=args.timeout,
         progress=progress,
         vectorize=getattr(args, "vectorize_replicas", False),
-        backend=getattr(args, "backend", "auto"),
         stream=shard_mib is not None,
         shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
         db=db,
@@ -795,7 +779,6 @@ def _run_serve(args) -> int:
         workers=args.workers,
         retries=args.retries,
         timeout=args.timeout,
-        backend=args.backend,
         shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
         max_queue=args.max_queue,
         cache=None if args.no_cache else ResultCache(args.cache or DEFAULT_CACHE_DIR),
@@ -977,7 +960,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers or 1,
             cache=ResultCache(cache_dir) if cache_dir else None,
             vectorize=getattr(args, "vectorize_replicas", False),
-            backend=getattr(args, "backend", "auto"),
             stream=shard_mib is not None,
             shard_mem=shard_mib * 1024 * 1024 if shard_mib is not None else None,
             target_ci=getattr(args, "target_ci", None),

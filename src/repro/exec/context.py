@@ -46,10 +46,6 @@ class ExecutionContext:
     #: stack same-shape specs onto the replica-batched engine
     #: (:mod:`repro.simulation.batched`); composes with ``workers``
     vectorize: bool = False
-    #: compute backend for vectorized groups (``"numpy"``/``"numba"``/
-    #: ``"auto"``); an execution detail -- results and cache keys are
-    #: backend-independent (see :mod:`repro.simulation.backends`)
-    backend: str = "auto"
     #: run specs on the streamed engine in memory-bounded shards
     #: (:mod:`repro.exec.sharded`); mutually exclusive with ``vectorize``
     stream: bool = False
@@ -118,7 +114,6 @@ def run_batch(specs: Sequence[ExperimentSpec], **overrides) -> BatchResult:
         "retries": ctx.retries,
         "timeout": ctx.timeout,
         "vectorize": ctx.vectorize,
-        "backend": ctx.backend,
         "stream": ctx.stream,
         "shard_mem": ctx.shard_mem,
     }

@@ -36,7 +36,6 @@ import traceback
 import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
@@ -99,18 +98,16 @@ def _run_chunk(specs: List[ExperimentSpec], task_fn) -> List[tuple]:
     return out
 
 
-def _run_batched_group(specs: List[ExperimentSpec], backend: str = "auto") -> List[tuple]:
+def _run_batched_group(specs: List[ExperimentSpec]) -> List[tuple]:
     """Worker-side batched executor: one stacked run, one payload per spec.
 
     The specs must share everything that fixes the engine's array
     shapes (guaranteed by :func:`~repro.exec.spec.group_for_vectorize`);
     stackable parameters -- seed, load, bulk, bias, service model -- may
     differ per spec and ride the scenario axis of
-    :func:`~repro.simulation.batched.run_stacked`.  ``backend`` selects
-    the compute backend of the stacked cycle loop (an execution detail:
-    results and cache keys are backend-independent).  Failure is
-    atomic -- a stacked run cannot partially succeed -- so an exception
-    reports every spec of the group as one failed attempt.
+    :func:`~repro.simulation.batched.run_stacked`.  Failure is atomic
+    -- a stacked run cannot partially succeed -- so an exception reports
+    every spec of the group as one failed attempt.
     """
     started = perf_counter()
     try:
@@ -120,7 +117,6 @@ def _run_batched_group(specs: List[ExperimentSpec], backend: str = "auto") -> Li
             [s.config for s in specs],
             specs[0].n_cycles,
             warmup=specs[0].warmup,
-            backend=backend,
         )
         elapsed = perf_counter() - started
         out = []
@@ -133,18 +129,14 @@ def _run_batched_group(specs: List[ExperimentSpec], backend: str = "auto") -> Li
         return [("err", traceback.format_exc(limit=20))] * len(specs)
 
 
-def _execute_job(
-    specs: List[ExperimentSpec], batched: bool, backend: str = "auto"
-) -> List[tuple]:
+def _execute_job(specs: List[ExperimentSpec], batched: bool) -> List[tuple]:
     """One vectorized-path job: a stacked group or a serial fallback."""
     if batched:
-        return _run_batched_group(specs, backend)
+        return _run_batched_group(specs)
     return _run_chunk(specs, None)
 
 
-def _run_stream_shard(
-    specs: List[ExperimentSpec], batched: bool, backend: str = "auto"
-) -> List[tuple]:
+def _run_stream_shard(specs: List[ExperimentSpec], batched: bool) -> List[tuple]:
     """Worker-side streamed executor: one shard, one payload per spec.
 
     ``batched`` is accepted for dispatcher symmetry and ignored -- every
@@ -159,7 +151,6 @@ def _run_stream_shard(
             [s.config for s in specs],
             specs[0].n_cycles,
             warmup=specs[0].warmup,
-            backend=backend,
         )
         elapsed = perf_counter() - started
         out = []
@@ -174,7 +165,7 @@ def _run_stream_shard(
 
 def _run_vectorized(
     specs, pending, groups, outcomes, *,
-    workers, retries, timeout, cache, progress, backend="auto",
+    workers, retries, timeout, cache, progress,
 ) -> None:
     """Execute a grouped batch: stacked runs for marked groups.
 
@@ -196,16 +187,15 @@ def _run_vectorized(
             jobs.append((indices, need, True))
         else:
             jobs.extend(([i], [i], False) for i in need)
-    execute = partial(_execute_job, backend=backend)
     _dispatch_jobs(
         specs, jobs, outcomes, workers=workers, retries=retries,
-        timeout=timeout, cache=cache, progress=progress, execute=execute,
+        timeout=timeout, cache=cache, progress=progress, execute=_execute_job,
     )
 
 
 def _run_streamed_groups(
     specs, pending, groups, outcomes, *,
-    workers, retries, timeout, cache, progress, backend="auto", shard_mem=None,
+    workers, retries, timeout, cache, progress, shard_mem=None,
 ) -> None:
     """Execute a stream-marked batch in memory-bounded shards.
 
@@ -230,10 +220,9 @@ def _run_streamed_groups(
         for j in range(0, len(need), shard_size):
             shard = need[j : j + shard_size]
             jobs.append((shard, shard, True))
-    execute = partial(_run_stream_shard, backend=backend)
     _dispatch_jobs(
         specs, jobs, outcomes, workers=workers, retries=retries,
-        timeout=timeout, cache=cache, progress=progress, execute=execute,
+        timeout=timeout, cache=cache, progress=progress, execute=_run_stream_shard,
     )
 
 
@@ -627,7 +616,6 @@ def run_many(
     vectorize: bool = False,
     stream: bool = False,
     shard_mem: Optional[int] = None,
-    backend: str = "auto",
     db: Optional["ExperimentDB"] = None,
 ) -> BatchResult:
     """Execute a batch of specs; see the module docstring for the contract.
@@ -687,13 +675,6 @@ def run_many(
         (default :data:`~repro.exec.sharded.DEFAULT_SHARD_MEM`,
         256 MiB).  Purely an execution knob: it never enters digests or
         results.
-    backend:
-        Compute backend for vectorized groups -- ``"numpy"``,
-        ``"numba"``, or ``"auto"`` (default; JIT when numba is usable,
-        reference otherwise).  Purely an execution detail: results,
-        digests, and cache keys are backend-independent (the JIT loop is
-        bit-identical to the reference), and serial paths always use the
-        reference implementation.  See :mod:`repro.simulation.backends`.
     db:
         Optional :class:`~repro.expdb.db.ExperimentDB`; every outcome
         (completed, cached, and failed) is recorded in the ledger after
@@ -721,10 +702,6 @@ def run_many(
         raise ExecutionError("stream=True shards specs itself; drop chunksize")
     if shard_mem is not None and not stream:
         raise ExecutionError("shard_mem only applies with stream=True")
-    if backend not in ("numpy", "numba", "auto"):
-        raise ExecutionError(
-            f"backend must be one of 'numpy', 'numba', 'auto'; got {backend!r}"
-        )
     started = perf_counter()
     specs = resolve_seeds(specs, base_seed=base_seed)
     groups = None
@@ -755,14 +732,13 @@ def run_many(
             _run_vectorized(
                 specs, pending, groups, outcomes,
                 workers=workers, retries=retries, timeout=timeout,
-                cache=cache, progress=progress, backend=backend,
+                cache=cache, progress=progress,
             )
         elif stream:
             _run_streamed_groups(
                 specs, pending, groups, outcomes,
                 workers=workers, retries=retries, timeout=timeout,
-                cache=cache, progress=progress, backend=backend,
-                shard_mem=shard_mem,
+                cache=cache, progress=progress, shard_mem=shard_mem,
             )
         elif workers == 1 or len(pending) == 1:
             _run_serial(specs, pending, outcomes, retries, task_fn, cache, progress)

@@ -1,8 +1,8 @@
 """RPR007: RNG stream discipline across the kernel layer.
 
-Bit-exact replay -- the property every backend-equivalence and
-stacking test asserts empirically -- rests on three conventions the
-type system cannot see:
+Bit-exact replay -- the property every loop-equivalence and stacking
+test asserts empirically -- rests on two conventions the type system
+cannot see:
 
 1. **Single construction point.**  Every ``numpy`` generator used by a
    kernel derives from a ``SeedSequence`` built in
@@ -14,21 +14,16 @@ type system cannot see:
    different kernel entry points couples their draw sequences: adding
    a draw to one silently shifts the other.  Each generator is passed
    to at most one distinct callee per function.
-3. **Backend draw parity.**  The NumPy reference backend draws
-   *during* the cycle loop (``_inject``); the JIT backend pre-draws
-   the identical sequence up front (``_predraw``).  The two must issue
-   the same number of draw sites per kernel or the streams diverge.
 
-All three are checked statically here.  The rule scopes to the kernel
+Both are checked statically here.  The rule scopes to the kernel
 directories and exempts ``rng.py`` itself (the sanctioned construction
-point).  Like every project rule it is silent on partial trees: check
-3 runs only when both ``_inject`` and ``_predraw`` are in scope.
+point).
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, Optional, Sequence, Set
 
 from repro.lint.config import KERNEL_DIRS, PathScope
 from repro.lint.findings import Finding
@@ -42,14 +37,6 @@ _CONSTRUCTORS = frozenset({"default_rng", "SeedSequence", "Generator", "RandomSt
 
 #: Sanctioned factory functions exported by ``simulation/rng.py``.
 _SANCTIONED_FACTORIES = frozenset({"make_rng", "spawn_rngs", "spawn_stacked_rngs"})
-
-#: Generator draw methods -- calling one of these on an rng name is a
-#: draw site.
-_DRAW_METHODS = frozenset(
-    {"integers", "random", "choice", "shuffle", "permutation", "geometric",
-     "poisson", "binomial", "uniform", "normal", "standard_normal"}
-)
-
 
 def _is_rng_name(name: str) -> bool:
     """Whether a variable name denotes a generator by convention."""
@@ -90,45 +77,12 @@ def _rng_flow_targets(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> Dict[str, S
     return flows
 
 
-def _draw_sites(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> List[ast.Call]:
-    """Draw sites inside one kernel function.
-
-    A draw site is (a) a direct generator draw (``rng.integers(...)``),
-    (b) a traffic-model call (``.generate_batch()`` / ``.generate()``),
-    or (c) any call that receives a generator as an argument (the
-    callee draws on the kernel's behalf, e.g. ``entry_queue(...,
-    routing_rng)`` or ``service.sample(traffic_rng, n)``).
-    """
-    sites: List[ast.Call] = []
-    for node in ast.walk(fn):
-        if not isinstance(node, ast.Call):
-            continue
-        target = dotted_name(node.func)
-        if target is not None:
-            parts = target.rsplit(".", 2)
-            method = parts[-1]
-            receiver = parts[-2] if len(parts) > 1 else ""
-            if method in _DRAW_METHODS and _is_rng_name(receiver):
-                sites.append(node)
-                continue
-            if method in ("generate_batch", "generate"):
-                sites.append(node)
-                continue
-        if any(
-            (lambda n: n is not None and _is_rng_name(n.rsplit(".", 1)[-1]))(dotted_name(a))
-            for a in list(node.args) + [kw.value for kw in node.keywords]
-        ):
-            sites.append(node)
-    return sites
-
-
 class RngStreamRule(ProjectRule):
     code = "RPR007"
     name = "rng-streams"
     why = (
-        "kernel generators must come from simulation/rng.py, feed one "
-        "entry point each, and match draw-site counts across backends, "
-        "or bit-exact replay silently breaks"
+        "kernel generators must come from simulation/rng.py and feed one "
+        "entry point each, or bit-exact replay silently breaks"
     )
     default_scope = PathScope(dirs=KERNEL_DIRS, exclude_files=frozenset({"rng.py"}))
 
@@ -170,37 +124,3 @@ class RngStreamRule(ProjectRule):
                             "their draw sequences -- spawn a child stream "
                             "per consumer instead",
                         )
-
-        # (3) NumPy-vs-JIT draw-site parity per kernel pair.
-        yield from self._check_backend_parity(files)
-
-    def _check_backend_parity(
-        self, files: Sequence[FileContext]
-    ) -> Iterator[Finding]:
-        """``_inject`` (reference) and ``_predraw`` (jit) must issue the
-        same number of draw sites."""
-        pairs = {"_inject": None, "_predraw": None}  # type: Dict[str, Optional[tuple]]
-        for ctx in files:
-            if "backends" not in ctx.path.parts:
-                continue
-            for node in ast.walk(ctx.tree):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name in pairs
-                    and pairs[node.name] is None
-                ):
-                    pairs[node.name] = (ctx, node, len(_draw_sites(node)))
-        inject, predraw = pairs["_inject"], pairs["_predraw"]
-        if inject is None or predraw is None:
-            return  # partial tree: only one backend in scope
-        ctx_i, node_i, n_inject = inject
-        ctx_p, node_p, n_predraw = predraw
-        if n_inject != n_predraw:
-            yield ctx_p.finding(
-                node_p,
-                self.code,
-                f"draw-site count mismatch between backends: _inject "
-                f"({ctx_i.display_path}) has {n_inject} draw sites, "
-                f"_predraw has {n_predraw} -- the JIT pre-draw must "
-                "replay the reference stream draw-for-draw",
-            )

@@ -35,16 +35,18 @@ Limitations (by construction)
   *metrics-off*; run serially when you need instrumentation.
 * ``warmup="auto"`` (MSER-5) is refused: the detector is a per-run
   pilot; pass an explicit warm-up instead.
+* Topologies without a digit-routing table (``routing_shifts()`` is
+  ``None``) are refused: the cycle loop expects every draw to happen
+  at injection.
 
-Compute backends
-----------------
-The engine owns model *state*; the cycle *loop* is executed by a
-pluggable :mod:`compute backend <repro.simulation.backends>`.  The
-default (``backend="auto"``) runs the JIT-compiled pre-drawn loop when
-numba is importable and the vectorised NumPy reference otherwise;
-either way the results are bit-identical (test-asserted), so backend
-choice is an execution detail -- never part of a spec digest or cache
-key.
+Cycle loop
+----------
+The engine contributes the *draw order* -- one ``generate_batch`` per
+cycle -- and runs it through the loop it shares with the streamed
+engine (:class:`~repro.simulation.backends.StackedLoop`): the compiled
+kernel when numba imports, the vectorised NumPy loop otherwise.  Both
+are bit-identical (test-asserted), so which one ran is an execution
+detail -- never part of a spec digest or cache key.
 """
 
 from __future__ import annotations
@@ -53,32 +55,19 @@ from dataclasses import replace
 
 # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results
 from time import perf_counter
-from typing import List, Literal, Optional, Sequence, Union
+from typing import Iterator, List, Literal, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs.profiling import PhaseTimers
-from repro.simulation.backends import ComputeBackend, NumpyBackend, resolve_backend
-from repro.simulation.engine import build_routing_tables
+from repro.simulation.backends import Draws, StackedLoop
 from repro.simulation.network import NetworkConfig, NetworkResult
 from repro.simulation.rng import DEFAULT_SEED, spawn_stacked_rngs
-from repro.simulation.sanitize import (
-    check_conservation,
-    check_queue_depths,
-    check_stage_stats,
-    sanitizer_enabled,
-)
-from repro.simulation.stats import BatchedTrackedMessages, StageAccumulator
-from repro.simulation.switch import RingBufferQueues
 from repro.simulation.topology import MultistageTopology
 from repro.simulation.traffic import NetworkTrafficGenerator
 
 __all__ = ["BatchedClockedEngine", "run_batched", "run_stacked"]
-
-#: A backend request: a registry name (``"numpy"``/``"numba"``/
-#: ``"auto"``) or a ready :class:`~repro.simulation.backends.ComputeBackend`.
-BackendSpec = Union[str, ComputeBackend]
 
 #: config fields that fix the stacked engine's array shapes -- scenarios
 #: in one batch must agree on all of these (everything else may vary)
@@ -99,11 +88,13 @@ class BatchedClockedEngine:
     The step structure mirrors :class:`~repro.simulation.engine.ClockedEngine`
     (inject / serve / tick) with every phase operating on the stacked
     port space; per-replica statistics come from flat ``(replica,
-    stage)`` bins and block-partitioned trackers.
+    stage)`` bins and block-partitioned trackers (see
+    :class:`~repro.simulation.backends.StackedLoop`).
 
     Parameters mirror the serial engine's; ``traffic`` must have been
     built with ``n_replicas`` matching (see
-    :meth:`NetworkConfig.build_traffic`).
+    :meth:`NetworkConfig.build_traffic`).  The engine is single-shot:
+    one :meth:`run` from ``t = 0``.
     """
 
     def __init__(
@@ -128,39 +119,24 @@ class BatchedClockedEngine:
             raise SimulationError(f"unknown transfer mode {transfer!r}")
         if n_replicas < 1:
             raise SimulationError(f"need >= 1 replica, got {n_replicas}")
+        if track_limit < 1:
+            raise SimulationError(
+                "track_limit=0 (streaming summary mode) is only supported by "
+                "the streamed engine -- use repro.simulation.streamed."
+                "run_streamed; see docs/scaling.md"
+            )
         self.topology = topology
         self.traffic = traffic
-        self.transfer = transfer
         self.routing_rng = routing_rng
         self.n_replicas = n_replicas
-        self.width = topology.width
-        self.n_stages = topology.n_stages
-        self.ports_per_replica = self.n_stages * self.width
-        n_ports = n_replicas * self.ports_per_replica
-        fields = {
-            "dest": np.int64,
-            "service": np.int64,
-            "arrival": np.int64,
-            "track": np.int64,
-        }
-        self.queues = RingBufferQueues(n_ports, fields, capacity=64)
-        self.busy = np.zeros(n_ports, dtype=np.int64)
-        # flat (replica, stage) bins: bin = replica * n_stages + stage
-        self.stats = StageAccumulator(n_replicas * self.n_stages)
-        self.tracker = BatchedTrackedMessages(n_replicas, track_limit, self.n_stages)
-        self.now = 0
-        self.measure_from = 0
-        self.completed = np.zeros(n_replicas, dtype=np.int64)
+        self.loop = StackedLoop(
+            topology, n_replicas, transfer == "cut_through", track_limit
+        )
         self.injected = np.zeros(n_replicas, dtype=np.int64)
-        self._perm_stack, self._shifts = build_routing_tables(topology)
+        self.now = 0
         #: wall-clock phase timers (enable via :meth:`enable_profiling`);
-        #: entries carry the backend that executed each phase
+        #: entries carry the loop that executed each phase
         self.timers: Optional[PhaseTimers] = None
-        #: registry name of the backend the last :meth:`run` resolved to
-        self.backend_name: Optional[str] = None
-        self._step_backend: Optional[NumpyBackend] = None
-        self._in_flight_override: Optional[int] = None
-        self._finalized = False
 
     def enable_profiling(self) -> PhaseTimers:
         """Start accumulating per-phase wall-clock timers."""
@@ -168,74 +144,57 @@ class BatchedClockedEngine:
             self.timers = PhaseTimers()
         return self.timers
 
-    # ------------------------------------------------------------------
-    # simulation loop
-    # ------------------------------------------------------------------
-    def run(self, n_cycles: int, warmup: int = 0, backend: BackendSpec = "auto") -> None:
-        """Advance ``n_cycles``; discard statistics before ``warmup``.
-
-        ``backend`` names the cycle-loop executor (``"numpy"``,
-        ``"numba"``, or ``"auto"``; see
-        :func:`~repro.simulation.backends.resolve_backend`) or is a
-        ready backend instance.  Results are backend-independent.
-        """
+    def run(self, n_cycles: int, warmup: int = 0) -> None:
+        """Simulate cycles ``0 .. n_cycles - 1``; discard statistics before ``warmup``."""
         if n_cycles < 1:
             raise SimulationError(f"n_cycles must be >= 1, got {n_cycles}")
         if not 0 <= warmup < n_cycles:
             raise SimulationError(f"warmup {warmup} outside [0, {n_cycles})")
-        self._check_not_finalized()
-        self.measure_from = self.now + warmup
-        resolved = resolve_backend(backend, self)
-        self.backend_name = resolved.name
-        resolved.run(self, n_cycles, warmup)
-        # backends with a live per-cycle loop (numpy) already sanitized
-        # every cycle; this end-of-run pass is what covers pre-drawn
-        # kernels (numba), whose loop state is opaque until it returns
-        if sanitizer_enabled():
-            self.sanitize_state(self.now - 1)
-
-    def sanitize_state(self, cycle: int) -> None:
-        """Run the sanitizer invariant hooks against current state."""
-        check_stage_stats(self.stats, cycle=cycle, n_stages=self.n_stages)
-        check_queue_depths(
-            self.queues.counts, cycle=cycle, ports_per_replica=self.ports_per_replica
-        )
-        check_conservation(
-            int(self.injected.sum()),
-            int(self.completed.sum()),
-            self.in_flight,
-            self.queues.dropped,
-            cycle=cycle,
-        )
-
-    def step(self) -> None:
-        """Simulate one clock cycle of every replica (reference backend)."""
-        self._check_not_finalized()
-        if self._step_backend is None:
-            self._step_backend = NumpyBackend()
-        self._step_backend.step(self)
-
-    def _check_not_finalized(self) -> None:
-        if self._finalized:
+        if self.now:
             raise SimulationError(
-                "engine state was consumed by a pre-drawn JIT run; build a "
-                "fresh engine to simulate further"
+                "the stacked engine runs once; build a fresh engine to "
+                "simulate further"
             )
+        self.loop.run(
+            n_cycles, warmup, self._arrivals(n_cycles, warmup), timers=self.timers
+        )
+        self.now = n_cycles
+
+    def _arrivals(self, n_cycles: int, warmup: int) -> Iterator[Draws]:
+        """The shared-stream draw order: one ``generate_batch`` per cycle.
+
+        Advances :attr:`injected` and the tracker's slot allocator as
+        each cycle is drawn; arrivals before ``warmup`` are untracked.
+        """
+        tracker = self.loop.tracker
+        assert tracker is not None  # track_limit >= 1, checked at construction
+        ppr = self.loop.ports_per_replica
+        for t in range(n_cycles):
+            arrivals = self.traffic.generate_batch()
+            reps = arrivals.replicas
+            self.injected += np.bincount(reps, minlength=self.n_replicas)
+            lines = self.topology.entry_queue(
+                arrivals.sources, arrivals.destinations, self.routing_rng
+            )
+            tracks = (
+                tracker.allocate(reps)
+                if t >= warmup
+                else np.full(reps.size, -1, dtype=np.int64)
+            )
+            yield reps * ppr + lines, arrivals.destinations, arrivals.services, tracks
 
     # ------------------------------------------------------------------
     # inspection
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
-        """Messages currently buffered across all replicas."""
-        if self._in_flight_override is not None:
-            return self._in_flight_override
-        return self.queues.total_occupancy()
+        """Messages injected but not yet delivered (buffers are infinite)."""
+        return int(self.injected.sum() - self.loop.completed.sum())
 
     def __repr__(self) -> str:
         return (
             f"BatchedClockedEngine(t={self.now}, replicas={self.n_replicas}, "
-            f"stages={self.n_stages}, width={self.width}, "
+            f"stages={self.topology.n_stages}, width={self.topology.width}, "
             f"in_flight={self.in_flight})"
         )
 
@@ -243,8 +202,8 @@ class BatchedClockedEngine:
 def _build_stacked_engine(configs: Sequence[NetworkConfig]) -> BatchedClockedEngine:
     """A fresh stacked engine for ``configs`` (validated, seeded, t=0).
 
-    Factored out of :func:`run_stacked` so backend tests can hold the
-    engine itself; the shape validation and the per-scenario seeding
+    Factored out of :func:`run_stacked` so tests can hold the engine
+    itself; the shape validation and the per-scenario seeding
     (one ``SeedSequence`` over the ordered seed list) live here.
     """
     if not configs:
@@ -261,12 +220,6 @@ def _build_stacked_engine(configs: Sequence[NetworkConfig]) -> BatchedClockedEng
         raise SimulationError(
             "replica batching supports infinite buffers only; run finite-"
             "buffer scenarios serially"
-        )
-    if first.track_limit == 0:
-        raise SimulationError(
-            "track_limit=0 (streaming summary mode) is only supported by "
-            "the streamed engine -- use repro.simulation.streamed."
-            "run_streamed; see docs/scaling.md"
         )
     n_replicas = len(configs)
     entropy = [DEFAULT_SEED if c.seed is None else int(c.seed) for c in configs]
@@ -297,7 +250,6 @@ def run_stacked(
     configs: Sequence[NetworkConfig],
     n_cycles: int,
     warmup: Optional[int] = None,
-    backend: BackendSpec = "auto",
 ) -> List[NetworkResult]:
     """Run ``len(configs)`` *scenarios* in one stacked engine.
 
@@ -322,17 +274,14 @@ def run_stacked(
     function applied to ``[replace(config, seed=s) for s in seeds]``
     and the R=1 serial bit-identity anchor carries over unchanged.
 
-    ``backend`` selects the cycle-loop executor (default ``"auto"``:
-    the JIT loop when numba is importable, the NumPy reference
-    otherwise); every backend produces bit-identical results, and the
-    one that actually ran is recorded on each
+    The loop that ran (``"numba"`` when numba imports, ``"numpy"``
+    otherwise; results are bit-identical) is recorded on each
     :attr:`NetworkResult.backend <repro.simulation.network.NetworkResult.backend>`.
 
     Refuses finite buffers and ``warmup="auto"`` (see module notes).
     """
     configs = list(configs)
     engine = _build_stacked_engine(configs)
-    first = configs[0]
     if warmup == "auto":
         raise SimulationError(
             'warmup="auto" is a per-run pilot; give an explicit warm-up '
@@ -343,38 +292,10 @@ def run_stacked(
     warmup = int(warmup)
     if warmup >= n_cycles:
         raise SimulationError(f"warmup {warmup} >= n_cycles {n_cycles}")
-    n_replicas = len(configs)
     started = perf_counter()
-    engine.run(n_cycles, warmup=warmup, backend=backend)
+    engine.run(n_cycles, warmup=warmup)
     elapsed = perf_counter() - started
-
-    S = first.n_stages
-    means = engine.stats.means().reshape(n_replicas, S)
-    variances = engine.stats.variances().reshape(n_replicas, S)
-    counts = engine.stats.count.reshape(n_replicas, S)
-    high_water = engine.queues.high_water().reshape(
-        n_replicas, engine.ports_per_replica
-    )
-    results: List[NetworkResult] = []
-    for i, config in enumerate(configs):
-        results.append(
-            NetworkResult(
-                config=config,
-                n_cycles=n_cycles,
-                warmup=warmup,
-                stage_means=means[i].copy(),
-                stage_variances=variances[i].copy(),
-                stage_counts=counts[i].copy(),
-                tracked=engine.tracker.replica_tracker(i),
-                injected=int(engine.injected[i]),
-                completed=int(engine.completed[i]),
-                dropped=0,
-                max_occupancy=int(high_water[i].max()),
-                elapsed_seconds=elapsed / n_replicas,
-                backend=engine.backend_name or "numpy",
-            )
-        )
-    return results
+    return engine.loop.results(configs, n_cycles, warmup, engine.injected, elapsed)
 
 
 def run_batched(
@@ -382,14 +303,13 @@ def run_batched(
     seeds: Sequence[Optional[int]],
     n_cycles: int,
     warmup: Optional[int] = None,
-    backend: BackendSpec = "auto",
 ) -> List[NetworkResult]:
     """Run ``len(seeds)`` replicas of ``config`` in one stacked engine.
 
     The homogeneous special case of :func:`run_stacked`: every replica
     simulates the same scenario under its own seed.  Returns one
     :class:`NetworkResult` per seed, in order, each carrying ``config``
-    with its own seed.  ``backend`` is forwarded to :func:`run_stacked`.
+    with its own seed.
 
     Refuses finite buffers and ``warmup="auto"`` (see module notes).
     """
@@ -404,5 +324,4 @@ def run_batched(
         [replace(config, seed=seed) for seed in seeds],
         n_cycles,
         warmup=warmup,
-        backend=backend,
     )

@@ -206,10 +206,10 @@ class NetworkResult:
     max_occupancy: int = 0
     #: wall-clock seconds spent inside :meth:`NetworkSimulator.run`
     elapsed_seconds: float = 0.0
-    #: compute backend that executed the cycle loop (serial runs and
-    #: cache rehydrations report the reference ``"numpy"``; see
-    #: :mod:`repro.simulation.backends`) -- an execution detail, never
-    #: part of a spec digest or cache key
+    #: cycle loop that ran: ``"numba"`` for the compiled kernel,
+    #: ``"numpy"`` otherwise (serial runs and cache rehydrations report
+    #: ``"numpy"``; see :mod:`repro.simulation.backends`) -- an
+    #: execution detail, never part of a spec digest or cache key
     backend: str = "numpy"
     #: engine phase timings (``PhaseTimers.as_dict``) when profiling was on
     timings: Optional[dict] = None

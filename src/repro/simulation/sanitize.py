@@ -2,8 +2,10 @@
 
 ``REPRO_SANITIZE=1`` (or :class:`repro.exec.context.ExecutionContext`
 with ``sanitize=True``, which exports the variable for its scope) arms
-cheap per-cycle hooks inside every cycle-loop implementation -- serial,
-batched reference, JIT, and streamed -- plus the shard-merge path:
+cheap per-cycle hooks inside both cycle-loop implementations -- the
+serial engine and the replica engines' NumPy loop -- a post-run check
+of the compiled kernel's statistics and message count, plus the
+shard-merge path:
 
 * **finite statistics** -- no NaN/inf ever enters the waiting-time
   moment accumulators (a poisoned wait would otherwise surface only as

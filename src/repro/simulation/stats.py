@@ -85,8 +85,8 @@ class StageAccumulator:
     def refresh_unseen(self) -> None:
         """Re-derive the unseen-bin counter after direct array mutation.
 
-        The JIT backend writes ``count``/``shift``/``total``/``total_sq``
-        from inside the compiled kernel; call this afterwards so later
+        The cycle-loop kernel writes ``count``/``shift``/``total``/
+        ``total_sq`` from inside its compiled loop; call this afterwards so later
         :meth:`add` calls keep assigning shifts correctly.
         """
         self._n_unseen = int((self.count == 0).sum())

@@ -13,9 +13,10 @@ independent replicas:
 * each replica's arrivals are pre-drawn in one fixed canonical order
   (injection coins cycle-major, then destinations, favourite gate, bulk
   expansion, service samples -- O(1) RNG calls per replica);
-* the pre-drawn replicas are then assembled into one stacked cycle loop
-  (the same pre-drawn kernel the JIT backend uses, or an equivalent
-  vectorised NumPy pass).
+* the pre-drawn replicas are then assembled into one cycle-major batch
+  and run through the loop the stacked engine uses
+  (:class:`~repro.simulation.backends.StackedLoop`: the compiled kernel
+  when numba imports, the vectorised NumPy loop otherwise).
 
 Replica dynamics are disjoint -- each replica owns its block of ports --
 so a replica's :class:`~repro.simulation.network.NetworkResult` is a
@@ -41,35 +42,18 @@ from dataclasses import dataclass
 
 # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simulation.backends.jit import compiled_kernel
+from repro.simulation.backends import Draws, StackedLoop
 from repro.simulation.batched import STACK_SHAPE_FIELDS
-from repro.simulation.engine import build_routing_tables
 from repro.simulation.network import NetworkConfig, NetworkResult
 from repro.simulation.rng import spawn_rngs
-from repro.simulation.sanitize import (
-    check_conservation,
-    check_queue_depths,
-    check_stage_stats,
-    sanitizer_enabled,
-)
-from repro.simulation.stats import (
-    BatchedTrackedMessages,
-    StageAccumulator,
-    StreamingTotals,
-    TrackedMessages,
-)
-from repro.simulation.switch import RingBufferQueues
+from repro.simulation.stats import StreamingTotals
 
 __all__ = ["StreamedBatch", "run_streamed"]
-
-#: backend selector: ``"auto"`` / ``"numpy"`` / ``"numba"``, or a cycle
-#: loop kernel callable (the tests pass the interpreted kernel directly)
-StreamBackend = Union[str, Callable[..., int]]
 
 #: default quantile-sketch resolution / tail-reservoir size for
 #: streaming summary mode (shared with the sharded exec driver)
@@ -101,6 +85,17 @@ class _Predrawn:
     measured_per_replica: np.ndarray  # (R,) messages injected at t >= warmup
     n_measured: int
     measured_reps: np.ndarray  # replica of each measured message, id order
+
+    def cycles(self) -> Iterator[Draws]:
+        """The per-replica draw order, one cycle's slice at a time."""
+        bounds = self.offsets.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True):
+            yield (
+                self.ports[lo:hi],
+                self.dests[lo:hi],
+                self.services[lo:hi],
+                self.tracks[lo:hi],
+            )
 
 
 def _predraw_replica(
@@ -203,42 +198,10 @@ def _assemble(
     )
 
 
-def _resolve_stream_kernel(
-    backend: StreamBackend,
-) -> Tuple[Optional[Callable[..., int]], str]:
-    """``(kernel, name)`` for the requested backend, or numpy fallback.
-
-    Returns ``(None, "numpy")`` for the vectorised reference path.
-    ``backend`` may also be a callable kernel (the equivalence tests
-    pass the interpreted :func:`cycle_loop_kernel` directly).
-    """
-    if callable(backend) and not isinstance(backend, str):
-        return backend, "numba"
-    if backend == "numpy":
-        return None, "numpy"
-    compiled = compiled_kernel()
-    if backend == "numba":
-        if compiled is None:
-            raise SimulationError(
-                "backend 'numba' requested but numba is not installed "
-                "(pip install 'repro[numba]')"
-            )
-        return compiled, "numba"
-    if backend == "auto":
-        if compiled is not None:
-            return compiled, "numba"
-        return None, "numpy"
-    raise SimulationError(
-        f"unknown streamed backend {backend!r}: expected 'numpy', 'numba', "
-        "'auto', or a kernel callable"
-    )
-
-
 def run_streamed(
     configs: Sequence[NetworkConfig],
     n_cycles: int,
     warmup: Optional[int] = None,
-    backend: StreamBackend = "auto",
     *,
     n_markers: int = DEFAULT_SKETCH_MARKERS,
     tail_k: int = DEFAULT_TAIL_K,
@@ -255,7 +218,7 @@ def run_streamed(
 
     Shape-fixing fields (:data:`~repro.simulation.batched.STACK_SHAPE_FIELDS`)
     must agree across the batch; finite buffers and coin-flip-routed
-    topologies are refused (the pre-drawn loop needs digit routing).
+    topologies are refused (the draws all happen before the loop).
 
     With ``track_limit == 0`` (streaming summary mode) the returned
     :class:`StreamedBatch` carries a merged
@@ -291,251 +254,38 @@ def run_streamed(
         raise SimulationError(f"warmup {warmup} outside [0, {n_cycles})")
 
     topology = first.build_topology()
-    perm_stack, shifts = build_routing_tables(topology)
-    if shifts is None:
-        raise SimulationError(
-            "topology routes without a digit table (routing_shifts() is "
-            "None); the streamed engine pre-draws all randomness up front"
-        )
-    kernel, backend_name = _resolve_stream_kernel(backend)
-
     n_replicas = len(configs)
-    n_stages = first.n_stages
-    ppr = topology.n_stages * topology.width
-    n_ports = n_replicas * ppr
     track_limit = first.track_limit
     streaming = track_limit == 0
 
     started = perf_counter()
     pre = _assemble(configs, topology, n_cycles, warmup)
-
-    stats = StageAccumulator(n_replicas * n_stages)
-    tracker = (
-        BatchedTrackedMessages(n_replicas, track_limit, n_stages)
-        if not streaming
-        else None
+    loop = StackedLoop(
+        topology,
+        n_replicas,
+        first.transfer == "cut_through",
+        track_limit,
+        n_streamed=pre.n_measured if streaming else 0,
     )
-    completed = np.zeros(n_replicas, dtype=np.int64)
-    msg_total = np.zeros(max(pre.n_measured, 1) if streaming else 1, dtype=np.float64)
-    msg_done = np.zeros(msg_total.size, dtype=np.uint8)
-
-    if kernel is not None:
-        busy = np.zeros(n_ports, dtype=np.int64)
-        q_high = np.zeros(n_ports, dtype=np.int64)
-        kernel(
-            n_cycles,
-            warmup,
-            n_ports,
-            ppr,
-            n_stages,
-            topology.width,
-            topology.k,
-            first.transfer == "cut_through",
-            pre.offsets,
-            pre.ports,
-            pre.dests,
-            pre.services,
-            pre.tracks,
-            perm_stack.astype(np.int64, copy=False),
-            shifts,
-            busy,
-            stats.count,
-            stats.shift,
-            stats.total,
-            stats.total_sq,
-            tracker.waits if tracker is not None else np.zeros((1, n_stages), np.float32),
-            completed,
-            q_high,
-            streaming,
-            msg_total,
-            msg_done,
-        )
-        stats.refresh_unseen()
-        if sanitizer_enabled():
-            # the JIT loop's queue state is gone when it returns; the
-            # moment bins and per-replica completion counts are what can
-            # still be vouched for
-            check_stage_stats(stats, cycle=n_cycles - 1, n_stages=n_stages)
-        high_water = q_high
-    else:
-        high_water = _run_numpy_stream(
-            pre,
-            topology,
-            perm_stack,
-            shifts,
-            first.transfer == "cut_through",
-            n_cycles,
-            warmup,
-            n_replicas,
-            stats,
-            tracker,
-            completed,
-            msg_total,
-            msg_done,
-            streaming,
-        )
-
-    if tracker is not None:
-        tracker._next = np.minimum(pre.measured_per_replica, track_limit)
+    loop.run(
+        n_cycles,
+        warmup,
+        pre.cycles(),
+        predrawn=(pre.offsets, pre.ports, pre.dests, pre.services, pre.tracks),
+    )
+    if loop.tracker is not None:
+        loop.tracker._next = np.minimum(pre.measured_per_replica, track_limit)
 
     totals: Optional[StreamingTotals] = None
     if streaming:
-        done = msg_done[: pre.n_measured].astype(bool)
+        done = loop.msg_done[: pre.n_measured].astype(bool)
         totals = StreamingTotals.from_totals(
-            msg_total[: pre.n_measured][done],
+            loop.msg_total[: pre.n_measured][done],
             pre.measured_reps[done],
             n_replicas,
             n_markers=n_markers,
             tail_k=tail_k,
         )
     elapsed = perf_counter() - started
-
-    means = stats.means().reshape(n_replicas, n_stages)
-    variances = stats.variances().reshape(n_replicas, n_stages)
-    counts = stats.count.reshape(n_replicas, n_stages)
-    hw = high_water.reshape(n_replicas, ppr)
-    results: List[NetworkResult] = []
-    for i, config in enumerate(configs):
-        results.append(
-            NetworkResult(
-                config=config,
-                n_cycles=n_cycles,
-                warmup=warmup,
-                stage_means=means[i].copy(),
-                stage_variances=variances[i].copy(),
-                stage_counts=counts[i].copy(),
-                tracked=(
-                    tracker.replica_tracker(i)
-                    if tracker is not None
-                    else TrackedMessages.from_rows(
-                        np.empty((0, n_stages), dtype=np.float32), n_stages
-                    )
-                ),
-                injected=int(pre.injected[i]),
-                completed=int(completed[i]),
-                dropped=0,
-                max_occupancy=int(hw[i].max()),
-                elapsed_seconds=elapsed / n_replicas,
-                backend=backend_name,
-                totals_summary=(
-                    totals.replica_summary(i) if totals is not None else None
-                ),
-            )
-        )
+    results = loop.results(configs, n_cycles, warmup, pre.injected, elapsed, totals)
     return StreamedBatch(results=results, totals=totals)
-
-
-def _run_numpy_stream(
-    pre: _Predrawn,
-    topology,
-    perm_stack: np.ndarray,
-    shifts: np.ndarray,
-    cut_through: bool,
-    n_cycles: int,
-    warmup: int,
-    n_replicas: int,
-    stats: StageAccumulator,
-    tracker: Optional[BatchedTrackedMessages],
-    completed: np.ndarray,
-    msg_total: np.ndarray,
-    msg_done: np.ndarray,
-    streaming: bool,
-) -> np.ndarray:
-    """Vectorised per-cycle reference loop over the pre-drawn arrivals.
-
-    Mirrors the NumPy reference backend's inject/serve/forward/tick
-    phases, but injects from the assembled pre-drawn slices instead of a
-    live traffic generator.  Bit-identical to the kernel path: waiting
-    times are integers, so every accumulation is exact.  Returns the
-    per-port occupancy high-water array.
-    """
-    width = topology.width
-    n_stages = topology.n_stages
-    ppr = n_stages * width
-    n_ports = n_replicas * ppr
-    k = topology.k
-    fields = {
-        "dest": np.int64,
-        "service": np.int64,
-        "arrival": np.int64,
-        "track": np.int64,
-    }
-    queues = RingBufferQueues(n_ports, fields, capacity=64)
-    busy = np.zeros(n_ports, dtype=np.int64)
-    sanitize = sanitizer_enabled()
-    for t in range(n_cycles):
-        measuring = t >= warmup
-        lo, hi = int(pre.offsets[t]), int(pre.offsets[t + 1])
-        if hi > lo:
-            queues.push_batch(
-                pre.ports[lo:hi],
-                dest=pre.dests[lo:hi],
-                service=pre.services[lo:hi],
-                arrival=np.full(hi - lo, t, dtype=np.int64),
-                track=pre.tracks[lo:hi],
-            )
-        candidates = np.flatnonzero((busy == 0) & (queues.counts > 0))
-        if candidates.size:
-            head_arrival = queues.peek(candidates, "arrival")
-            ready = candidates[head_arrival <= t]
-        else:
-            ready = candidates
-        if ready.size:
-            msg = queues.pop(ready)
-            waits = (t - msg["arrival"]).astype(np.float64)
-            reps = ready // ppr
-            local = ready - reps * ppr
-            stages = local // width
-            if measuring:
-                stats.add(reps * n_stages + stages, waits)
-                tids = msg["track"]
-                if streaming:
-                    live = tids >= 0
-                    if live.any():
-                        msg_total[tids[live]] += waits[live]
-                elif tracker is not None:
-                    tracker.record(tids, stages, waits)
-            busy[ready] = msg["service"]
-            moving = stages < n_stages - 1
-            done = ~moving
-            if done.any():
-                completed += np.bincount(reps[done], minlength=n_replicas)
-                if streaming:
-                    done_tids = msg["track"][done]
-                    done_tids = done_tids[done_tids >= 0]
-                    if done_tids.size:
-                        msg_done[done_tids] = 1
-            if moving.any():
-                f_reps = reps[moving]
-                f_stages = stages[moving]
-                dest = msg["dest"][moving]
-                lines = local[moving] % width
-                in_lines = perm_stack[f_stages + 1, lines]
-                digits = (dest // shifts[f_stages + 1]) % k
-                next_lines = (in_lines // k) * k + digits
-                next_ports = f_reps * ppr + (f_stages + 1) * width + next_lines
-                if cut_through:
-                    arrival = np.full(f_reps.size, t + 1, dtype=np.int64)
-                else:
-                    arrival = t + msg["service"][moving]
-                queues.push_batch(
-                    next_ports,
-                    dest=dest,
-                    service=msg["service"][moving],
-                    arrival=arrival,
-                    track=msg["track"][moving],
-                )
-        np.subtract(busy, 1, out=busy, where=busy > 0)
-        if sanitize:
-            check_stage_stats(stats, cycle=t, n_stages=n_stages)
-            check_queue_depths(queues.counts, cycle=t, ports_per_replica=ppr)
-            # every pre-drawn arrival through cycle t is either done or
-            # still buffered (a popped message re-queues or completes
-            # within its cycle)
-            check_conservation(
-                int(pre.offsets[t + 1]),
-                int(completed.sum()),
-                int(queues.counts.sum()),
-                cycle=t,
-            )
-    return queues.high_water()

@@ -198,15 +198,6 @@ class RingBufferQueues:
             self._iota = np.arange(max(n, 2 * self._iota.size), dtype=np.int64)
         return self._iota[:n]
 
-    def record_high_water(self, values: np.ndarray) -> None:
-        """Merge externally observed per-queue occupancy high-water marks.
-
-        Used by compute backends that bypass the ring buffers (the
-        pre-drawn JIT loop keeps its own queue structures) so
-        :attr:`max_occupancy` / :meth:`high_water` stay authoritative.
-        """
-        np.maximum(self._high_water, values, out=self._high_water)
-
     def pop(self, queues: np.ndarray) -> Dict[str, np.ndarray]:
         """Remove and return the head message of each queue in ``queues``.
 

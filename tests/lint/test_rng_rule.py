@@ -1,4 +1,4 @@
-"""RPR007: RNG stream discipline -- construction, sharing, parity.
+"""RPR007: RNG stream discipline -- construction and sharing.
 
 The mutation each fixture seeds is one the equivalence tests only catch
 *after* results diverge; the rule must catch the source pattern
@@ -120,56 +120,5 @@ class TestStreamSharing:
                     "    inject(child_rng)\n"
                 )
             },
-        )
-        assert result.ok, result.findings
-
-
-class TestBackendParity:
-    REFERENCE_TWO_DRAWS = (
-        "def _inject(engine, t):\n"
-        "    arrivals = engine.traffic.generate_batch()\n"
-        "    lines = engine.topology.entry_queue(arrivals, engine.routing_rng)\n"
-    )
-
-    def test_matching_draw_sites_are_quiet(self, lint_tree):
-        predraw = (
-            "def _predraw(engine, n):\n"
-            "    a = engine.traffic.generate_batch()\n"
-            "    d = traffic_rng.integers(0, 2, size=n)\n"
-        )
-        result = lint(
-            lint_tree,
-            {
-                "simulation/backends/reference.py": self.REFERENCE_TWO_DRAWS,
-                "simulation/backends/jit.py": predraw,
-            },
-        )
-        assert result.ok, result.findings
-
-    def test_draw_site_mismatch_fires(self, lint_tree):
-        """Dropping one pre-draw desynchronises the JIT stream from the
-        reference -- a bug only visible as a statistical drift at run
-        time, caught here as a count mismatch."""
-        predraw = (
-            "def _predraw(engine, n):\n"
-            "    a = engine.traffic.generate_batch()\n"
-        )
-        result = lint(
-            lint_tree,
-            {
-                "simulation/backends/reference.py": self.REFERENCE_TWO_DRAWS,
-                "simulation/backends/jit.py": predraw,
-            },
-        )
-        assert codes(result) == ["RPR007"]
-        finding = result.findings[0]
-        assert "mismatch" in finding.message
-        assert "2 draw sites" in finding.message
-
-    def test_single_backend_is_quiet(self, lint_tree):
-        """Partial tree: parity needs both halves of the pair."""
-        result = lint(
-            lint_tree,
-            {"simulation/backends/reference.py": self.REFERENCE_TWO_DRAWS},
         )
         assert result.ok, result.findings

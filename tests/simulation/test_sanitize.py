@@ -8,10 +8,12 @@ Three layers of evidence:
   cycle/stage/replica coordinates a debugger needs;
 * a deliberately poisoned kernel (NaN injected into the waiting-time
   stream mid-run) is caught *at the cycle it happens*, on both the
-  serial and the stacked engine.
+  serial and the stacked engine; a whole-run kernel that loses a
+  message is caught when it returns.
 """
 
 import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -19,6 +21,7 @@ import pytest
 
 from repro.errors import SanitizerError
 from repro.exec.context import use_execution
+from repro.simulation.backends.jit import cycle_loop_kernel
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.sanitize import (
@@ -90,9 +93,10 @@ class TestCleanRuns:
         assert plain.injected == sanitized.injected
         assert plain.completed == sanitized.completed
 
-    def test_stacked_run_is_quiet(self, armed):
+    def test_stacked_run_is_quiet(self, armed, use_loop):
+        use_loop(None)
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2, 3)]
-        results = run_stacked(cfgs, 300, warmup=30, backend="numpy")
+        results = run_stacked(cfgs, 300, warmup=30)
         assert len(results) == 3
 
     def test_streamed_run_is_quiet(self, armed):
@@ -114,11 +118,12 @@ class TestNanInjection:
         assert f"[cycle={err.cycle}, stage={err.stage}]" in str(err)
         assert "non-finite" in str(err)
 
-    def test_stacked_kernel_nan_raises_with_replica(self, armed, monkeypatch):
+    def test_stacked_kernel_nan_raises_with_replica(self, armed, monkeypatch, use_loop):
+        use_loop(None)
         poison_nan_at(monkeypatch, 30)
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
         with pytest.raises(SanitizerError) as info:
-            run_stacked(cfgs, 2_000, warmup=0, backend="numpy")
+            run_stacked(cfgs, 2_000, warmup=0)
         err = info.value
         assert err.cycle is not None
         assert err.stage is not None and 0 <= err.stage < CFG.n_stages
@@ -132,6 +137,46 @@ class TestNanInjection:
         poison_nan_at(monkeypatch, 30)
         result = NetworkSimulator(CFG).run(2_000, warmup=0)
         assert np.isnan(result.stage_means).any()
+
+
+def lossy_kernel(*args):
+    """The interpreted kernel, except one completed message goes missing."""
+    in_flight = cycle_loop_kernel(*args)
+    completed = inspect.signature(cycle_loop_kernel).bind(*args).arguments["completed"]
+    completed[0] -= 1
+    return in_flight
+
+
+class TestKernelConservation:
+    """The whole-run kernel's queues are gone when it returns, so its
+    message count is checked against the completions it reported."""
+
+    def test_clean_kernel_run_is_quiet(self, armed, use_loop):
+        use_loop(cycle_loop_kernel)
+        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
+        assert len(run_stacked(cfgs, 300, warmup=30)) == 2
+        assert run_streamed(cfgs, 300, warmup=30).results[0].backend == "numba"
+
+    def test_stacked_lost_completion_raises(self, armed, use_loop):
+        use_loop(lossy_kernel)
+        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
+        with pytest.raises(SanitizerError, match="conservation") as info:
+            run_stacked(cfgs, 300, warmup=30)
+        assert info.value.cycle == 299
+
+    def test_streamed_lost_completion_raises(self, armed, use_loop):
+        use_loop(lossy_kernel)
+        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
+        with pytest.raises(SanitizerError, match="conservation"):
+            run_streamed(cfgs, 300, warmup=30)
+
+    def test_unsanitized_lost_completion_passes_silently(self, monkeypatch, use_loop):
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        use_loop(cycle_loop_kernel)
+        [clean] = run_stacked([CFG], 300, warmup=30)
+        use_loop(lossy_kernel)
+        [lossy] = run_stacked([CFG], 300, warmup=30)
+        assert lossy.completed == clean.completed - 1
 
 
 class TestInvariantChecks:

@@ -1,4 +1,4 @@
-"""Streamed engine: shard invariance, backend equivalence, summary mode."""
+"""Streamed engine: shard invariance, loop equivalence, summary mode."""
 
 import numpy as np
 import pytest
@@ -33,13 +33,20 @@ def assert_results_identical(a, b):
     assert a.max_occupancy == b.max_occupancy
 
 
-class TestBackendEquivalence:
-    """NumPy per-cycle path == pre-drawn kernel, bit for bit."""
+def run_both(use_loop, *args, **kwargs):
+    """``run_streamed`` through the NumPy loop, then the interpreted kernel."""
+    use_loop(None)
+    a = run_streamed(*args, **kwargs)
+    use_loop(cycle_loop_kernel)
+    b = run_streamed(*args, **kwargs)
+    return a, b
 
-    def test_basic_stack(self):
-        cfgs = configs()
-        a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
-        b = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend=cycle_loop_kernel)
+
+class TestBackendEquivalence:
+    """NumPy per-cycle loop == whole-run kernel, bit for bit."""
+
+    def test_basic_stack(self, use_loop):
+        a, b = run_both(use_loop, configs(), N_CYCLES, warmup=WARMUP)
         for ra, rb in zip(a.results, b.results, strict=True):
             assert_results_identical(ra, rb)
         assert b.results[0].backend == "numba"
@@ -56,17 +63,14 @@ class TestBackendEquivalence:
         ],
         ids=["bulk", "multisize", "favourite", "store_forward", "butterfly"],
     )
-    def test_variants(self, kw):
+    def test_variants(self, use_loop, kw):
         cfgs = [NetworkConfig(seed=7 + i, **kw) for i in range(3)]
-        a = run_streamed(cfgs, 300, warmup=40, backend="numpy")
-        b = run_streamed(cfgs, 300, warmup=40, backend=cycle_loop_kernel)
+        a, b = run_both(use_loop, cfgs, 300, warmup=40)
         for ra, rb in zip(a.results, b.results, strict=True):
             assert_results_identical(ra, rb)
 
-    def test_streaming_mode_equivalence(self):
-        cfgs = configs(track_limit=0)
-        a = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend="numpy")
-        b = run_streamed(cfgs, N_CYCLES, warmup=WARMUP, backend=cycle_loop_kernel)
+    def test_streaming_mode_equivalence(self, use_loop):
+        a, b = run_both(use_loop, configs(track_limit=0), N_CYCLES, warmup=WARMUP)
         assert a.totals is not None and b.totals is not None
         assert a.totals.count == b.totals.count
         assert a.totals.mean == b.totals.mean
@@ -189,9 +193,11 @@ class TestRefusals:
         with pytest.raises(SimulationError, match="identical array shapes"):
             run_streamed(cfgs, 100)
 
+
     def test_unknown_backend_refused(self):
-        with pytest.raises(SimulationError, match="unknown streamed backend"):
-            run_streamed(configs(1), 100, warmup=10, backend="cuda")
+        """The loop is chosen automatically: no backend can be named."""
+        with pytest.raises(TypeError, match="backend"):
+            run_streamed(configs(1), 100, warmup=10, backend="numpy")
 
 
 class TestDefaults:
