@@ -2,8 +2,9 @@
 
 ``docs/backends.md`` claims that the numba kernel -- the whole
 multi-cycle loop compiled into one nopython function over pre-drawn
-arrivals -- beats the per-cycle NumPy loop by at least 3x
-on the paper's small-network scenario (``k = 2``, 6 stages, width 8)
+arrivals -- beats the NumPy side (the stage-major scan, which replaced
+the per-cycle NumPy loop the claim was first measured against) by at
+least 3x on the paper's small-network scenario (``k = 2``, 6 stages, width 8)
 stacked at ``R = 64``.  The measured baseline is emitted as
 ``BENCH_backend.json`` so CI keeps a comparable artifact trail
 (ingested into the experiment DB under series ``backend``).  The NumPy

@@ -3,8 +3,9 @@
 Two layers live here:
 
 * **Shard planning** -- :func:`estimate_replica_bytes` models the
-  streamed engine's per-replica working set (ring buffers, the
-  pre-drawn arrival arrays, tracker or streaming per-message scalars)
+  streamed engine's per-replica working set (the pre-drawn arrival
+  arrays, tracker or streaming per-message scalars, the stage-major
+  scan's block temporaries and end-of-run backlog)
   and :func:`plan_shard_size` turns a byte budget into a replica count.
   The shard size is an *execution* knob: it never enters a spec digest
   (:data:`repro.exec.spec.STREAM_MARKER` is composition-free), so the
@@ -54,37 +55,47 @@ __all__ = [
 #: that shard dispatch overhead is noise.
 DEFAULT_SHARD_MEM = 256 * 1024 * 1024
 
-#: Ring-buffer geometry of the streamed engine: 4 int64 fields at the
-#: initial capacity of 64 slots per port.
-_QUEUE_FIELDS = 4
-_QUEUE_CAPACITY = 64
+#: int64 columns the assembled arrivals keep for the whole run: entry
+#: port, destination, service, track, replica, measured replica
+_HELD_COLUMNS = 6
+#: int64 temporaries per message alive at the peak of a replica
+#: block's stage pass (order, scan, reduce; measured at ~21)
+_SCAN_COLUMNS = 24
+#: the end-of-run backlog: 4 int64 fields per queued message plus 4
+#: int64 of queue bookkeeping, per port, budgeted up to this deep
+_BACKLOG_FIELDS = 4
+_BACKLOG_DEPTH = 32
 
 
 def estimate_replica_bytes(config: NetworkConfig, n_cycles: int) -> int:
     """Model of one replica's working set inside a streamed shard.
 
-    Counts the dominant allocations: the per-port ring buffers, the
-    ``(n_cycles, width)`` injection-coin block, the pre-drawn arrival
-    arrays (six int64 columns per expected message), and either the
-    tracker matrix (tracked mode) or the per-message total/done scalars
-    (streaming mode).  A deliberate over-estimate is harmless (smaller
-    shards); an under-estimate risks the memory budget, so queue growth
-    beyond the initial capacity is absorbed by the x2 safety factor on
-    the message-proportional terms.
+    Counts the dominant allocations: the ``(n_cycles, width)``
+    injection-coin block, the assembled arrival columns, the tracker
+    matrix (tracked mode) or the per-message total/done scalars
+    (streaming mode), the stage-major scan's block temporaries, and the
+    end-of-run backlog queues.  The scan works on blocks of whole
+    replicas, so its temporaries scale with the block, at most one
+    replica's messages beyond
+    :data:`~repro.simulation.backends.scan.BLOCK_MESSAGES`; charging
+    each replica its own messages' share bounds them for any shard size
+    (and over-estimates large shards, which is harmless: smaller
+    shards).  Pre-draw and assembly temporaries are freed before the
+    scan starts and stay below its peak.
     """
     topology = config.build_topology()
     ppr = topology.n_stages * topology.width
     expected_msgs = max(
         1.0, n_cycles * topology.width * config.p * config.bulk_size
     )
-    queue_bytes = ppr * _QUEUE_FIELDS * _QUEUE_CAPACITY * 8
     coin_bytes = n_cycles * topology.width * 8
-    predraw_bytes = 6 * 8 * expected_msgs
+    scan_bytes = (_HELD_COLUMNS + _SCAN_COLUMNS) * 8 * expected_msgs
     if config.track_limit > 0:
         per_message = min(config.track_limit, expected_msgs) * topology.n_stages * 4
     else:
         per_message = expected_msgs * (8 + 1)  # msg_total f64 + msg_done u8
-    return int(queue_bytes + coin_bytes + 2.0 * (predraw_bytes + per_message))
+    backlog_bytes = ppr * (_BACKLOG_FIELDS * _BACKLOG_DEPTH + 4) * 8
+    return int(coin_bytes + scan_bytes + per_message + backlog_bytes)
 
 
 def plan_shard_size(

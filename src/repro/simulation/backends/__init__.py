@@ -1,25 +1,24 @@
-"""The stacked cycle loop shared by both replica designs.
+"""The stacked replica engine shared by both replica designs.
 
 The replica-batched engine (:mod:`repro.simulation.batched`, one shared
 RNG stream) and the streamed engine (:mod:`repro.simulation.streamed`,
 one stream per replica) simulate ``R`` networks in one flat port space
--- global port ``replica * n_stages * width + stage * width + line`` --
-with the paper's single cycle semantics: inject, serve every ready
+-- global port ``replica * n_stages * width + stage * width + line``
+-- with the paper's single cycle semantics: inject, serve every ready
 queue head, forward, tick.  The two designs differ only in the *order
-their arrivals are drawn*, so each reduces to a draw order yielding one
-:data:`Draws` tuple per cycle, and :class:`StackedLoop` runs those
-arrivals through one of two interchangeable loops:
+their arrivals are drawn*; each hands the whole run's arrivals to
+:class:`StackedLoop` as arrays ``(offsets, ports, dests, services,
+tracks)``, which simulates them in one of two interchangeable ways:
 
-* the vectorised NumPy loop
-  (:func:`~repro.simulation.backends.reference.numpy_cycle_loop`),
-  which consumes the arrivals one cycle at a time;
+* the stage-major segmented Lindley scan
+  (:func:`~repro.simulation.backends.scan.stage_scan`), vectorised
+  NumPy passes per replica block and stage, with no loop over cycles;
 * the whole-run kernel
-  (:func:`~repro.simulation.backends.jit.cycle_loop_kernel`), over the
-  arrivals concatenated up front -- taken whenever
-  :func:`~repro.simulation.backends.jit.compiled_kernel` returns a
-  compiled loop, i.e. whenever numba imports.
+  (:func:`~repro.simulation.backends.jit.cycle_loop_kernel`) --
+  taken whenever :func:`~repro.simulation.backends.jit.compiled_kernel`
+  returns a compiled loop, i.e. whenever numba imports.
 
-The two loops are bit-identical (test-asserted); the one that ran is
+The two are bit-identical (test-asserted); the one that ran is
 recorded on :attr:`NetworkResult.backend
 <repro.simulation.network.NetworkResult.backend>` and never enters a
 digest or cache key.  See ``docs/backends.md``.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 # repro: lint-ok RPR001 -- phase timers are wall-clock bookkeeping; never enter results
 from time import perf_counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from repro.errors import SimulationError
 from repro.obs.profiling import PhaseTimers
 from repro.simulation.backends import jit
 from repro.simulation.backends.jit import numba_available
-from repro.simulation.backends.reference import Draws, numpy_cycle_loop
+from repro.simulation.backends.scan import stage_scan
 from repro.simulation.engine import build_routing_tables
 from repro.simulation.network import NetworkConfig, NetworkResult
 from repro.simulation.sanitize import (
@@ -51,9 +50,17 @@ from repro.simulation.stats import (
     StreamingTotals,
     TrackedMessages,
 )
+from repro.simulation.switch import RingBufferQueues
 from repro.simulation.topology import MultistageTopology
 
-__all__ = ["Draws", "StackedLoop", "numba_available"]
+__all__ = ["Arrivals", "StackedLoop", "numba_available"]
+
+#: a whole run's arrivals: ``(offsets, ports, dests, services, tracks)``,
+#: cycle ``t``'s messages at ``offsets[t]:offsets[t + 1]`` in draw order,
+#: each with its global entry port, destination, service time and
+#: tracker slot (a message id in streaming summary mode; ``-1`` =
+#: untracked)
+Arrivals = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class StackedLoop:
@@ -96,39 +103,45 @@ class StackedLoop:
             if track_limit > 0
             else None
         )
-        self.msg_total = np.zeros(max(n_streamed, 1), dtype=np.float64)
+        # one slot past the ids: the scan's sink for untracked (-1) hops
+        self.msg_total = np.zeros(n_streamed + 1, dtype=np.float64)
         self.msg_done = np.zeros(self.msg_total.size, dtype=np.uint8)
         self.high_water = np.zeros(self.n_ports, dtype=np.int64)
         #: which loop the last :meth:`run` took: ``"numpy"`` or ``"numba"``
         self.loop_name = "numpy"
+        #: the messages still queued when the scan's run ended, one
+        #: queue per global port in :attr:`backlog_ports` (``None``
+        #: after a kernel run, whose queues end with it)
+        self.backlog: Optional[RingBufferQueues] = None
+        self.backlog_ports = np.empty(0, dtype=np.int64)
 
     def run(
         self,
         n_cycles: int,
         warmup: int,
-        cycles: Iterable[Draws],
-        predrawn: Optional[Tuple[np.ndarray, ...]] = None,
+        arrivals: Arrivals,
         timers: Optional[PhaseTimers] = None,
     ) -> None:
         """Simulate ``n_cycles`` from empty queues, measuring from ``warmup``.
 
-        ``cycles`` yields each cycle's arrivals in order.  ``predrawn``
-        -- ``(offsets, ports, dests, services, tracks)`` with cycle
-        ``t``'s messages at ``offsets[t]:offsets[t + 1]`` -- spares the
-        kernel from concatenating ``cycles`` when a design already holds
-        its arrivals assembled.
+        ``arrivals`` is the whole run's :data:`Arrivals`.  Service times
+        below one cycle are refused: a port serves at most one message
+        per cycle, which the scan's recursion relies on.
         """
+        offsets, ports, dests, services, tracks = arrivals
+        if services.size and int(services.min()) < 1:
+            raise SimulationError(
+                f"service times must be >= 1 cycle, got {int(services.min())}"
+            )
         kernel = jit.compiled_kernel()
         if kernel is None:
             self.loop_name = "numpy"
-            self.high_water = numpy_cycle_loop(self, n_cycles, warmup, cycles, timers)
+            self.backlog_ports, self.backlog = stage_scan(
+                self, n_cycles, warmup, arrivals, timers
+            )
             return
         self.loop_name = "numba"
         t0 = perf_counter()
-        offsets, ports, dests, services, tracks = (
-            predrawn if predrawn is not None else _concatenate(cycles, n_cycles)
-        )
-        t1 = perf_counter()
         in_flight = kernel(
             n_cycles,
             warmup,
@@ -161,7 +174,7 @@ class StackedLoop:
             self.msg_total,
             self.msg_done,
         )
-        t2 = perf_counter()
+        t1 = perf_counter()
         self.stats.refresh_unseen()
         if sanitizer_enabled():
             # the kernel's queues are gone when it returns; its moment
@@ -173,8 +186,7 @@ class StackedLoop:
                 cycle=last,
             )
         if timers is not None:
-            timers.add("predraw", t1 - t0, backend="numba")
-            timers.add("kernel", t2 - t1, backend="numba")
+            timers.add("kernel", t1 - t0, backend="numba")
 
     def results(
         self,
@@ -226,16 +238,3 @@ class StackedLoop:
             )
         return results
 
-
-def _concatenate(cycles: Iterable[Draws], n_cycles: int) -> Tuple[np.ndarray, ...]:
-    """``(offsets, ports, dests, services, tracks)`` over all cycles."""
-    offsets = np.zeros(n_cycles + 1, dtype=np.int64)
-    columns: Tuple[List[np.ndarray], ...] = ([], [], [], [])
-    for t, draws in enumerate(cycles):
-        offsets[t + 1] = offsets[t] + draws[0].size
-        for column, values in zip(columns, draws, strict=True):
-            column.append(values)
-    return (
-        offsets,
-        *(np.concatenate(column).astype(np.int64, copy=False) for column in columns),
-    )

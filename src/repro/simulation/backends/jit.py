@@ -1,27 +1,26 @@
 """The whole-run cycle-loop kernel, compiled by numba when it imports.
 
-At the paper's small widths a cycle of the NumPy loop
-(:mod:`~repro.simulation.backends.reference`) is ~20 kernel calls on
-tiny arrays, so per-call Python dispatch dominates.  This kernel
-removes it: the *entire* run -- every cycle's inject/serve/forward/tick
--- is one nopython function over preallocated arrays.
+A cycle-by-cycle simulation of the stacked replicas: the *entire* run
+-- every cycle's inject/serve/forward/tick -- is one nopython function
+over preallocated arrays.  Without numba the replica engines use the
+stage-major scan instead (:mod:`~repro.simulation.backends.scan`),
+which needs no loop over cycles; the interpreted kernel is the scan's
+cycle-stepping reference in the tests.
 
 It consumes arrivals drawn before it starts: the built-in topologies
 route by destination digits, so every draw happens at injection and
 either replica design can hand its whole run's arrivals over at once
 (see :class:`~repro.simulation.backends.StackedLoop`).  Same draws,
-same per-cycle order, hence the same sample path as the NumPy loop.
+same per-cycle order, hence the same sample path as the scan.
 
 Inside the kernel, each per-port FIFO is a linked list over one shared
 node pool (node id = pre-drawn message index; a message occupies one
 queue at a time, so ids never collide).  Each cycle pops every ready
-head *before* any forward push -- the same snapshot semantics as the
-NumPy loop's serve phase -- so queue contents, busy counters, and
-per-queue occupancy high-water marks evolve identically.  Waiting times
-are integers, and float64 sums of integers are exact below 2**53, so
-the kernel's sequential accumulation equals the NumPy loop's
-``bincount`` sums bit-for-bit (float32 tracker entries are likewise
-exact below 2**24).
+head *before* any forward push -- the cycle semantics whose queue
+depths the scan's high-water marks reproduce.  Waiting times are
+integers, and float64 sums of integers are exact below 2**53, so the
+kernel's sequential accumulation equals the scan's ``bincount`` sums
+bit-for-bit (float32 tracker entries are likewise exact below 2**24).
 
 The kernel body is an ordinary Python function; with numba installed it
 is compiled with ``@njit(cache=True)``, and without numba the same
@@ -118,9 +117,8 @@ def cycle_loop_kernel(
                 q_high[port] = q_count[port]
 
         # -- serve: pop every ready head BEFORE any forward push -------
-        # (the NumPy loop snapshots its candidates, then pops,
-        # then pushes; two passes reproduce that exactly, including the
-        # occupancy high-water accounting)
+        # (all pops of a cycle precede its forward pushes; two passes
+        # keep that order, and with it the occupancy high-water marks)
         n_served = 0
         for port in range(n_ports):
             if busy[port] != 0 or q_count[port] == 0:

@@ -36,17 +36,22 @@ Limitations (by construction)
 * ``warmup="auto"`` (MSER-5) is refused: the detector is a per-run
   pilot; pass an explicit warm-up instead.
 * Topologies without a digit-routing table (``routing_shifts()`` is
-  ``None``) are refused: the cycle loop expects every draw to happen
-  at injection.
+  ``None``) are refused: the replica engine expects every draw to
+  happen at injection.
 
-Cycle loop
-----------
+Execution
+---------
 The engine contributes the *draw order* -- one ``generate_batch`` per
-cycle -- and runs it through the loop it shares with the streamed
-engine (:class:`~repro.simulation.backends.StackedLoop`): the compiled
-kernel when numba imports, the vectorised NumPy loop otherwise.  Both
-are bit-identical (test-asserted), so which one ran is an execution
-detail -- never part of a spec digest or cache key.
+cycle, all cycles drawn and concatenated before any is simulated --
+and hands the run's arrivals to the executor it shares with the
+streamed engine (:class:`~repro.simulation.backends.StackedLoop`): the
+compiled kernel when numba imports, otherwise the stage-major Lindley
+scan, which sorts and scans each stage's hops in blocks of whole
+replicas with no loop over cycles.  Both are bit-identical
+(test-asserted), so which one ran is an execution detail -- never part
+of a spec digest or cache key.  Working set: the concatenated arrivals
+(four int64 columns per message) and the tracker for the whole run,
+plus one replica block's scan temporaries at a time.
 """
 
 from __future__ import annotations
@@ -55,13 +60,13 @@ from dataclasses import replace
 
 # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results
 from time import perf_counter
-from typing import Iterator, List, Literal, Optional, Sequence
+from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.obs.profiling import PhaseTimers
-from repro.simulation.backends import Draws, StackedLoop
+from repro.simulation.backends import Arrivals, StackedLoop
 from repro.simulation.network import NetworkConfig, NetworkResult
 from repro.simulation.rng import DEFAULT_SEED, spawn_stacked_rngs
 from repro.simulation.topology import MultistageTopology
@@ -85,10 +90,10 @@ STACK_SHAPE_FIELDS = (
 class BatchedClockedEngine:
     """Cycle-accurate simulator of ``n_replicas`` identical networks.
 
-    The step structure mirrors :class:`~repro.simulation.engine.ClockedEngine`
-    (inject / serve / tick) with every phase operating on the stacked
-    port space; per-replica statistics come from flat ``(replica,
-    stage)`` bins and block-partitioned trackers (see
+    Simulates the cycle semantics of
+    :class:`~repro.simulation.engine.ClockedEngine` (inject / serve /
+    tick) on the stacked port space; per-replica statistics come from
+    flat ``(replica, stage)`` bins and block-partitioned trackers (see
     :class:`~repro.simulation.backends.StackedLoop`).
 
     Parameters mirror the serial engine's; ``traffic`` must have been
@@ -155,20 +160,26 @@ class BatchedClockedEngine:
                 "the stacked engine runs once; build a fresh engine to "
                 "simulate further"
             )
-        self.loop.run(
-            n_cycles, warmup, self._arrivals(n_cycles, warmup), timers=self.timers
-        )
+        t0 = perf_counter()
+        arrivals = self._arrivals(n_cycles, warmup)
+        t1 = perf_counter()
+        self.loop.run(n_cycles, warmup, arrivals, timers=self.timers)
+        if self.timers is not None:
+            self.timers.add("predraw", t1 - t0, backend=self.loop.loop_name)
         self.now = n_cycles
 
-    def _arrivals(self, n_cycles: int, warmup: int) -> Iterator[Draws]:
+    def _arrivals(self, n_cycles: int, warmup: int) -> Arrivals:
         """The shared-stream draw order: one ``generate_batch`` per cycle.
 
-        Advances :attr:`injected` and the tracker's slot allocator as
-        each cycle is drawn; arrivals before ``warmup`` are untracked.
+        Draws every cycle up front and concatenates them, advancing
+        :attr:`injected` and the tracker's slot allocator as each cycle
+        is drawn; arrivals before ``warmup`` are untracked.
         """
         tracker = self.loop.tracker
         assert tracker is not None  # track_limit >= 1, checked at construction
         ppr = self.loop.ports_per_replica
+        offsets = np.zeros(n_cycles + 1, dtype=np.int64)
+        columns: Tuple[List[np.ndarray], ...] = ([], [], [], [])
         for t in range(n_cycles):
             arrivals = self.traffic.generate_batch()
             reps = arrivals.replicas
@@ -181,7 +192,14 @@ class BatchedClockedEngine:
                 if t >= warmup
                 else np.full(reps.size, -1, dtype=np.int64)
             )
-            yield reps * ppr + lines, arrivals.destinations, arrivals.services, tracks
+            offsets[t + 1] = offsets[t] + reps.size
+            draws = (reps * ppr + lines, arrivals.destinations, arrivals.services, tracks)
+            for column, values in zip(columns, draws, strict=True):
+                column.append(values)
+        ports, dests, services, tracks = (
+            np.concatenate(column).astype(np.int64, copy=False) for column in columns
+        )
+        return offsets, ports, dests, services, tracks
 
     # ------------------------------------------------------------------
     # inspection

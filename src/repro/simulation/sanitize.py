@@ -2,19 +2,22 @@
 
 ``REPRO_SANITIZE=1`` (or :class:`repro.exec.context.ExecutionContext`
 with ``sanitize=True``, which exports the variable for its scope) arms
-cheap per-cycle hooks inside both cycle-loop implementations -- the
-serial engine and the replica engines' NumPy loop -- a post-run check
-of the compiled kernel's statistics and message count, plus the
-shard-merge path:
+cheap hooks inside every engine path -- per cycle in the serial engine,
+per replica block and stage in the replica engines' stage-major scan,
+and after the compiled kernel returns -- plus the shard-merge path:
 
 * **finite statistics** -- no NaN/inf ever enters the waiting-time
   moment accumulators (a poisoned wait would otherwise surface only as
   a quietly wrong table entry);
 * **non-negative queue depths** -- a negative ring-buffer count means a
   pop outran a push (buffer-accounting corruption);
-* **message conservation** -- every cycle, ``injected == completed +
-  in_flight + dropped`` (the serial engine's documented invariant, now
-  machine-checked on every engine);
+* **message conservation** -- ``injected == completed + in_flight +
+  dropped`` (every cycle on the serial engine, at the end of a run on
+  the replica engines), and on the scan, per replica and stage, hops
+  arrived == hops served + hops still queued;
+* **FIFO service order** -- on the scan, within each queue a hop
+  starts no earlier than it is ready and strictly after its
+  predecessor (one pop per port per cycle);
 * **merge consistency** -- a merged shard summary must preserve the
   total message count and the finiteness of every per-replica moment.
 
@@ -45,7 +48,9 @@ __all__ = [
     "check_stage_stats",
     "check_queue_depths",
     "check_conservation",
+    "check_fifo_starts",
     "check_merged_totals",
+    "check_stage_conservation",
 ]
 
 #: Environment variable arming the sanitizer.
@@ -132,6 +137,53 @@ def check_conservation(
             f"dropped={dropped}",
             cycle=cycle,
         )
+
+
+def check_stage_conservation(
+    arrived: np.ndarray,
+    served: np.ndarray,
+    queued: np.ndarray,
+    *,
+    cycle: Optional[int] = None,
+) -> None:
+    """Per ``(replica, stage)``: hops arrived == served + still queued."""
+    broken = arrived != served + queued
+    if not broken.any():
+        return
+    replica, stage = (int(i) for i in np.argwhere(broken)[0])
+    raise SanitizerError(
+        f"stage conservation broken: {int(arrived[replica, stage])} hops "
+        f"arrived != {int(served[replica, stage])} served + "
+        f"{int(queued[replica, stage])} queued",
+        cycle=cycle,
+        stage=stage,
+        replica=replica,
+    )
+
+
+def check_fifo_starts(
+    start: np.ndarray,
+    ready: np.ndarray,
+    new_queue: np.ndarray,
+    *,
+    replicas: np.ndarray,
+    stage: int,
+) -> None:
+    """Service starts of hops in FIFO order, ``new_queue`` marking each
+    queue's first hop: ``start >= ready``, strictly rising per queue."""
+    bad = start < ready
+    bad[1:] |= ~new_queue[1:] & (start[1:] <= start[:-1])
+    if not bad.any():
+        return
+    i = int(np.flatnonzero(bad)[0])
+    raise SanitizerError(
+        f"hop served out of FIFO order: start {int(start[i])}, ready "
+        f"{int(ready[i])}, previous start in its queue "
+        f"{int(start[i - 1]) if i and not new_queue[i] else None}",
+        cycle=int(start[i]),
+        stage=stage,
+        replica=int(replicas[i]),
+    )
 
 
 def check_merged_totals(

@@ -14,9 +14,11 @@ independent replicas:
   (injection coins cycle-major, then destinations, favourite gate, bulk
   expansion, service samples -- O(1) RNG calls per replica);
 * the pre-drawn replicas are then assembled into one cycle-major batch
-  and run through the loop the stacked engine uses
+  and handed to the executor the stacked engine uses
   (:class:`~repro.simulation.backends.StackedLoop`: the compiled kernel
-  when numba imports, the vectorised NumPy loop otherwise).
+  when numba imports, otherwise the stage-major Lindley scan, which
+  sorts and scans each stage's hops in blocks of whole replicas with no
+  loop over cycles).
 
 Replica dynamics are disjoint -- each replica owns its block of ports --
 so a replica's :class:`~repro.simulation.network.NetworkResult` is a
@@ -33,7 +35,10 @@ per-message scalar and flips a completion flag at the last stage, and
 the per-shard totals are reduced to a
 :class:`~repro.simulation.stats.StreamingTotals` (exact per-replica
 moments, a bounded quantile sketch, an exact top-k tail).  Memory per
-shard is O(messages-in-shard); nothing scales with the full ``R``.
+shard is O(messages-in-shard) -- the assembled arrival columns and the
+per-message scalars for the whole run, one replica block's scan
+temporaries at a time, and the end-of-run backlog; nothing scales with
+the full ``R``.
 """
 
 from __future__ import annotations
@@ -42,12 +47,12 @@ from dataclasses import dataclass
 
 # repro: lint-ok RPR001 -- elapsed_seconds bookkeeping; never enters results
 from time import perf_counter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.simulation.backends import Draws, StackedLoop
+from repro.simulation.backends import StackedLoop
 from repro.simulation.batched import STACK_SHAPE_FIELDS
 from repro.simulation.network import NetworkConfig, NetworkResult
 from repro.simulation.rng import spawn_rngs
@@ -85,17 +90,6 @@ class _Predrawn:
     measured_per_replica: np.ndarray  # (R,) messages injected at t >= warmup
     n_measured: int
     measured_reps: np.ndarray  # replica of each measured message, id order
-
-    def cycles(self) -> Iterator[Draws]:
-        """The per-replica draw order, one cycle's slice at a time."""
-        bounds = self.offsets.tolist()
-        for lo, hi in zip(bounds[:-1], bounds[1:], strict=True):
-            yield (
-                self.ports[lo:hi],
-                self.dests[lo:hi],
-                self.services[lo:hi],
-                self.tracks[lo:hi],
-            )
 
 
 def _predraw_replica(
@@ -268,10 +262,7 @@ def run_streamed(
         n_streamed=pre.n_measured if streaming else 0,
     )
     loop.run(
-        n_cycles,
-        warmup,
-        pre.cycles(),
-        predrawn=(pre.offsets, pre.ports, pre.dests, pre.services, pre.tracks),
+        n_cycles, warmup, (pre.offsets, pre.ports, pre.dests, pre.services, pre.tracks)
     )
     if loop.tracker is not None:
         loop.tracker._next = np.minimum(pre.measured_per_replica, track_limit)

@@ -12,7 +12,7 @@ def use_loop(monkeypatch):
     ``use_loop(kernel)`` makes :func:`~repro.simulation.backends.jit.compiled_kernel`
     return ``kernel``: pass the interpreted
     :func:`~repro.simulation.backends.jit.cycle_loop_kernel` to test the
-    kernel path without numba, or ``None`` to force the NumPy loop even
+    kernel path without numba, or ``None`` to force the NumPy scan even
     where numba is installed.
     """
 

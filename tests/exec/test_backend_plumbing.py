@@ -1,6 +1,6 @@
 """The cycle loop that runs is an execution detail, never an identity.
 
-Which loop executes a replica run -- the NumPy loop or the whole-run
+Which executor runs a replica run -- the NumPy scan or the whole-run
 kernel (:mod:`repro.simulation.backends`) -- must be invisible to
 everything content-addressed: spec digests, cache keys, vectorize
 grouping, and cached payloads.  These tests pin that down through the

@@ -1,6 +1,7 @@
 """Sharded streamed execution: digests, cache reuse, bit-identity."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.exec.spec import (
     resolve_seeds,
 )
 from repro.simulation.network import NetworkConfig
+from repro.simulation.streamed import run_streamed
 
 N_CYCLES = 300
 WARMUP = 40
@@ -176,6 +178,31 @@ class TestShardPlanning:
         assert plan_shard_size(config, N_CYCLES, 1) == 1  # floor of one
         with pytest.raises(ExecutionError, match="shard_mem"):
             plan_shard_size(config, N_CYCLES, 0)
+
+
+    @pytest.mark.parametrize(
+        "n_replicas, n_cycles, kw",
+        [
+            # one replica far above a scan block: the block is the replica
+            (1, 2000, dict(n_stages=6, p=0.9)),
+            (3, 1500, dict(n_stages=3, p=0.5, message_size=2, transfer="store_forward")),
+            (24, 300, dict(n_stages=6, p=0.5)),
+            (6, 800, dict(n_stages=4, p=0.6, track_limit=40)),
+        ],
+    )
+    def test_shard_peak_stays_within_estimate(self, n_replicas, n_cycles, kw):
+        """A shard's traced allocation peak -- pre-draw, assembly, the
+        scan's block temporaries and its backlog -- is within the model."""
+        kw = {"k": 2, "track_limit": 0, **kw}
+        configs = [NetworkConfig(seed=s, **kw) for s in range(n_replicas)]
+        run_streamed(configs[:1], 20, warmup=0)  # first-call allocations
+        tracemalloc.start()
+        try:
+            run_streamed(configs, n_cycles, warmup=n_cycles // 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n_replicas * estimate_replica_bytes(configs[0], n_cycles)
 
 
 class TestStreamTotalsDriver:

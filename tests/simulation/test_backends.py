@@ -1,4 +1,4 @@
-"""Cycle-loop equivalence: the whole-run kernel vs the NumPy loop.
+"""Executor equivalence: the whole-run kernel vs the stage-major NumPy scan.
 
 The determinism contract (``docs/backends.md``) says the two loops are
 **bit-identical**, not statistically equivalent.  Two layers enforce it:
@@ -134,7 +134,7 @@ class TestKernelEquivalence:
             assert a.config == b.config
 
     def test_r1_bit_identical_to_serial_engine(self, use_loop, kernel):
-        """The chain closes: serial engine == NumPy loop == kernel."""
+        """The chain closes: serial engine == NumPy scan == kernel."""
         config = NetworkConfig(k=2, n_stages=3, p=0.5, topology="omega", seed=42)
         serial = NetworkSimulator(config).run(n_cycles=1_500)
         use_loop(kernel)
@@ -192,6 +192,9 @@ class TestBackendIsNotIdentity:
         engine.enable_profiling()
         engine.run(300)
         timings = engine.timers.as_dict()
-        for phase in ("inject", "serve", "tick"):
+        assert timings["predraw"]["backend"] == "numpy"
+        # the scan times its phases once per replica block and stage
+        for phase in ("order", "scan", "reduce"):
             assert timings[phase]["backend"] == "numpy"
-            assert timings[phase]["calls"] == 300
+            assert timings[phase]["calls"] == config.n_stages
+        assert not {"inject", "serve", "tick"} & set(timings)

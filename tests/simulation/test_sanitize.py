@@ -7,9 +7,11 @@ Three layers of evidence:
 * each invariant check raises :class:`SanitizerError` with the
   cycle/stage/replica coordinates a debugger needs;
 * a deliberately poisoned kernel (NaN injected into the waiting-time
-  stream mid-run) is caught *at the cycle it happens*, on both the
-  serial and the stacked engine; a whole-run kernel that loses a
-  message is caught when it returns.
+  stream mid-run) is caught *at the cycle it happens* on the serial
+  engine, and at the replica block and stage it happens on the stacked
+  engine's scan; a whole-run kernel that loses a message is caught when
+  it returns, and a scan that serves out of FIFO order or loses a
+  queued message is caught with its replica and stage.
 """
 
 import dataclasses
@@ -21,14 +23,17 @@ import pytest
 
 from repro.errors import SanitizerError
 from repro.exec.context import use_execution
+from repro.simulation.backends import scan
 from repro.simulation.backends.jit import cycle_loop_kernel
 from repro.simulation.batched import run_stacked
 from repro.simulation.network import NetworkConfig, NetworkSimulator
 from repro.simulation.sanitize import (
     SANITIZE_ENV,
     check_conservation,
+    check_fifo_starts,
     check_merged_totals,
     check_queue_depths,
+    check_stage_conservation,
     sanitizer_enabled,
 )
 from repro.simulation.stats import StageAccumulator, StreamingTotals
@@ -120,7 +125,9 @@ class TestNanInjection:
 
     def test_stacked_kernel_nan_raises_with_replica(self, armed, monkeypatch, use_loop):
         use_loop(None)
-        poison_nan_at(monkeypatch, 30)
+        # the scan adds once per replica block and stage: this batch is
+        # one block, so its three stages make three calls
+        poison_nan_at(monkeypatch, 2)
         cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
         with pytest.raises(SanitizerError) as info:
             run_stacked(cfgs, 2_000, warmup=0)
@@ -179,7 +186,95 @@ class TestKernelConservation:
         assert lossy.completed == clean.completed - 1
 
 
+class TestScanChecks:
+    """The scan's queues are arrays, so its run is checked against
+    exact per-stage state: FIFO start order per block and stage, and
+    arrived == served + queued per replica and stage at the end."""
+
+    def test_clean_scan_runs_are_quiet(self, armed, use_loop, monkeypatch):
+        use_loop(None)
+        monkeypatch.setattr(scan, "BLOCK_MESSAGES", 300)  # several blocks
+        cfgs = [dataclasses.replace(CFG, seed=s, message_size=2) for s in (1, 2, 3)]
+        assert len(run_stacked(cfgs, 300, warmup=30)) == 3
+        zero = [dataclasses.replace(c, track_limit=0) for c in cfgs]
+        assert run_streamed(zero, 300, warmup=30).totals.count > 0
+
+    def test_early_start_raises_at_its_cycle(self, armed, use_loop, monkeypatch):
+        use_loop(None)
+        real = scan._lindley
+
+        def early(queue, ready, service):
+            new, firsts, key, base = real(queue, ready, service)
+            key[-1] -= 2  # the block's last hop starts before it may
+            return new, firsts, key, base
+
+        monkeypatch.setattr(scan, "_lindley", early)
+        cfgs = [dataclasses.replace(CFG, seed=s) for s in (1, 2)]
+        with pytest.raises(SanitizerError, match="FIFO order") as info:
+            run_stacked(cfgs, 300, warmup=30)
+        err = info.value
+        assert err.stage == 0 and err.replica == 1
+        assert err.cycle is not None and 0 <= err.cycle < 300
+
+    def test_lost_queued_message_raises_with_stage(self, armed, use_loop, monkeypatch):
+        use_loop(None)
+        real = scan._Scan.finish
+
+        def lossy(self, injected):
+            ports, *columns = (c.copy() for c in self.backlog[0])
+            self.backlog[0] = (ports[1:], *(c[1:] for c in columns))
+            return real(self, injected)
+
+        monkeypatch.setattr(scan._Scan, "finish", lossy)
+        cfgs = [dataclasses.replace(CFG, seed=s, p=0.9, message_size=2) for s in (1, 2)]
+        with pytest.raises(SanitizerError, match="stage conservation") as info:
+            run_stacked(cfgs, 300, warmup=30)
+        err = info.value
+        assert err.cycle == 299
+        assert err.replica is not None and err.stage is not None
+
+    def test_unsanitized_scan_skips_the_checks(self, monkeypatch, use_loop):
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
+        use_loop(None)
+        real = scan._lindley
+
+        def early(queue, ready, service):
+            new, firsts, key, base = real(queue, ready, service)
+            key[-1] -= 2
+            return new, firsts, key, base
+
+        monkeypatch.setattr(scan, "_lindley", early)
+        assert len(run_stacked([CFG], 300, warmup=30)) == 1
+
+
 class TestInvariantChecks:
+    def test_stage_conservation_names_replica_and_stage(self):
+        arrived = np.array([[5, 4], [6, 6]])
+        served = np.array([[4, 4], [6, 5]])
+        queued = np.array([[1, 0], [0, 0]])
+        with pytest.raises(SanitizerError) as info:
+            check_stage_conservation(arrived, served, queued, cycle=9)
+        err = info.value
+        assert (err.replica, err.stage, err.cycle) == (1, 1, 9)
+        assert "6 hops arrived != 5 served + 0 queued" in str(err)
+        check_stage_conservation(arrived, served, arrived - served, cycle=9)
+
+    def test_fifo_starts_name_the_offending_hop(self):
+        start = np.array([3, 5, 5, 2])
+        ready = np.array([1, 2, 4, 2])
+        new = np.array([True, False, False, True])
+        replicas = np.array([0, 0, 0, 1])
+        with pytest.raises(SanitizerError, match="FIFO order") as info:
+            check_fifo_starts(start, ready, new, replicas=replicas, stage=2)
+        assert (info.value.cycle, info.value.stage, info.value.replica) == (5, 2, 0)
+        start[2] = 6
+        check_fifo_starts(start, ready, new, replicas=replicas, stage=2)
+        ready[3] = 3
+        with pytest.raises(SanitizerError) as info:
+            check_fifo_starts(start, ready, new, replicas=replicas, stage=2)
+        assert (info.value.cycle, info.value.replica) == (2, 1)
+
+
     def test_conservation_mismatch_raises_with_cycle(self):
         with pytest.raises(SanitizerError) as info:
             check_conservation(10, 5, 2, 1, cycle=7)

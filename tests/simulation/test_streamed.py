@@ -34,7 +34,7 @@ def assert_results_identical(a, b):
 
 
 def run_both(use_loop, *args, **kwargs):
-    """``run_streamed`` through the NumPy loop, then the interpreted kernel."""
+    """``run_streamed`` through the NumPy scan, then the interpreted kernel."""
     use_loop(None)
     a = run_streamed(*args, **kwargs)
     use_loop(cycle_loop_kernel)
@@ -43,7 +43,7 @@ def run_both(use_loop, *args, **kwargs):
 
 
 class TestBackendEquivalence:
-    """NumPy per-cycle loop == whole-run kernel, bit for bit."""
+    """Stage-major NumPy scan == whole-run kernel, bit for bit."""
 
     def test_basic_stack(self, use_loop):
         a, b = run_both(use_loop, configs(), N_CYCLES, warmup=WARMUP)
